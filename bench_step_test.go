@@ -48,33 +48,22 @@ func BenchmarkStep(b *testing.B) {
 	b.Run("blast2d-generic", func(b *testing.B) {
 		stepBench(b, testprob.Blast2D, 128, core.DefaultConfig())
 	})
-	b.Run("blast2d-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Fused = true
-		stepBench(b, testprob.Blast2D, 128, cfg)
-	})
-	// The 3-D fused configuration is the headline number recorded in
-	// BENCH_step.json.
-	b.Run("blast3d-generic", func(b *testing.B) {
-		stepBench(b, testprob.Blast3D, 48, core.DefaultConfig())
-	})
-	b.Run("blast3d-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Fused = true
-		stepBench(b, testprob.Blast3D, 48, cfg)
-	})
-	// The resilience fallback scheme (PCM + HLL), generic vs fused.
-	b.Run("blast3d-pcmhll-generic", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Recon = recon.PCM{}
-		cfg.Riemann = riemann.HLL{}
-		stepBench(b, testprob.Blast3D, 48, cfg)
-	})
-	b.Run("blast3d-pcmhll-fused", func(b *testing.B) {
-		cfg := core.DefaultConfig()
-		cfg.Recon = recon.PCM{}
-		cfg.Riemann = riemann.HLL{}
-		cfg.Fused = true
-		stepBench(b, testprob.Blast3D, 48, cfg)
-	})
+	// The 3-D configurations mirror the E14 entries of BENCH_step.json
+	// by name. Every configuration runs the one face-state flux row, so
+	// each "generic" and "fused" pair measures the same kernel; the names
+	// stay so results line up with the committed record.
+	for _, name := range []string{"blast3d-generic", "blast3d-fused"} {
+		b.Run(name, func(b *testing.B) {
+			stepBench(b, testprob.Blast3D, 48, core.DefaultConfig())
+		})
+	}
+	// The resilience fallback scheme (PCM + HLL).
+	for _, name := range []string{"blast3d-pcmhll-generic", "blast3d-pcmhll-fused"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := core.DefaultConfig()
+			cfg.Recon = recon.PCM{}
+			cfg.Riemann = riemann.HLL{}
+			stepBench(b, testprob.Blast3D, 48, cfg)
+		})
+	}
 }

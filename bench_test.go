@@ -196,27 +196,6 @@ func BenchmarkE10_Ablation(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedKernel contrasts the generic (interface-dispatched) sweep
-// with the specialised PLM+HLLC+ideal-gas kernel — the single-kernel
-// analogue of the paper's per-device code specialisation.
-func BenchmarkFusedKernel(b *testing.B) {
-	for _, fused := range []bool{false, true} {
-		name := map[bool]string{false: "generic", true: "fused"}[fused]
-		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.Fused = fused
-			s := newSolver(b, testprob.Blast2D, 128, cfg)
-			s.RecoverPrimitives()
-			rhs := state.NewFields(s.G.NCells())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.ComputeRHS(rhs)
-			}
-			b.ReportMetric(128*128, "zones/op")
-		})
-	}
-}
-
 // --- kernel micro-benchmarks ---------------------------------------------
 
 // BenchmarkC2PRecover measures the conservative→primitive inversion.
@@ -258,16 +237,35 @@ func BenchmarkReconRow(b *testing.B) {
 	}
 }
 
-// BenchmarkRiemannFlux measures a single face flux per solver.
+// BenchmarkRiemannFlux measures one row of face fluxes per solver from
+// precomputed face states (the solver half of the flux row).
 func BenchmarkRiemannFlux(b *testing.B) {
-	g := eos.NewIdealGas(5.0 / 3.0)
-	pl := state.Prim{Rho: 10, Vx: 0.1, P: 13.33}
-	pr := state.Prim{Rho: 1, Vx: -0.2, P: 0.1}
+	const n = 64
+	row := func(p state.Prim) *[state.NComp][]float64 {
+		var q [state.NComp][]float64
+		for c, v := range []float64{p.Rho, p.Vx, p.Vy, p.Vz, p.P} {
+			q[c] = make([]float64, n)
+			for i := range q[c] {
+				q[c][i] = v
+			}
+		}
+		return &q
+	}
+	th := state.NewThermo(eos.NewIdealGas(5.0 / 3.0))
+	L, R := make([]state.Face, n), make([]state.Face, n)
+	ql, qr := row(state.Prim{Rho: 10, Vx: 0.1, P: 13.33}), row(state.Prim{Rho: 1, Vx: -0.2, P: 0.1})
+	th.Faces(L, ql, ql, 0, 0, state.X)
+	th.Faces(R, qr, qr, 0, 0, state.X)
+	var fx [state.NComp][]float64
+	for c := range fx {
+		fx[c] = make([]float64, n)
+	}
 	for _, s := range riemann.All() {
 		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = s.Flux(g, pl, pr, state.X)
+				s.Fluxes(L, R, state.X, fx)
 			}
+			b.ReportMetric(n, "faces/op")
 		})
 	}
 }

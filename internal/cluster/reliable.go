@@ -53,12 +53,12 @@ type senderState struct {
 }
 
 type reliableState struct {
-	w     *World
-	acks  []chan ackMsg // one inbound ack channel per rank
-	send  []*senderState
-	stop  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	w    *World
+	acks []chan ackMsg // one inbound ack channel per rank
+	send []*senderState
+	stop chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
 }
 
 func newReliableState(w *World) *reliableState {

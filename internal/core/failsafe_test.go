@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"rhsc/internal/eos"
 	"rhsc/internal/state"
 	"rhsc/internal/testprob"
 )
@@ -24,13 +25,13 @@ func runSteps(t *testing.T, s *Solver, n int) []float64 {
 
 // TestFailSafeZeroTroubledBitwise pins the fail-safe contract on clean
 // runs: with zero troubled cells the pipeline must be bitwise identical
-// to the plain fused/generic pipeline — the detector only reads, and the
+// to the plain pipeline — the detector only reads, and the
 // dt sequence is unchanged because the in-pass CFL fold rides the same
 // detection recovery.
 func TestFailSafeZeroTroubledBitwise(t *testing.T) {
 	muts := map[string]func(*Config){
-		"generic": nil,
-		"fused":   func(c *Config) { c.Fused = true },
+		"generic":      nil,
+		"taub-mathews": func(c *Config) { c.EOS = eos.TaubMathews{} },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rhsc/internal/eos"
 	"rhsc/internal/recon"
 	"rhsc/internal/riemann"
 	"rhsc/internal/testprob"
@@ -49,12 +50,20 @@ func TestStepZeroAllocs(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"generic-2d", testprob.Blast2D, 48, nil},
-		{"fused-plm-hllc-2d", testprob.Blast2D, 48, func(c *Config) { c.Fused = true }},
-		{"fused-pcm-hll-2d", testprob.Blast2D, 48, func(c *Config) {
-			c.Fused = true
+		// Every configuration runs the one face-state flux row; the
+		// solver and the EOS are resolved per row, never per face, so no
+		// face state escapes to the heap whatever the method.
+		{"pcm-hll-2d", testprob.Blast2D, 48, func(c *Config) {
 			c.Recon = recon.PCM{}
 			c.Riemann = riemann.HLL{}
 		}},
+		{"plm-llf-2d", testprob.Blast2D, 48, func(c *Config) { c.Riemann = riemann.LLF{} }},
+		{"ppm-hllc-2d", testprob.Blast2D, 48, func(c *Config) { c.Recon = recon.PPM{} }},
+		{"weno5-hll-2d", testprob.Blast2D, 48, func(c *Config) {
+			c.Recon = recon.WENO5{}
+			c.Riemann = riemann.HLL{}
+		}},
+		{"taub-hllc-2d", testprob.Blast2D, 48, func(c *Config) { c.EOS = eos.TaubMathews{} }},
 		// The fail-safe detector rides every stage of a clean run; the
 		// zero-troubled steady state must stay allocation-free (mask and
 		// snapshot buffers are allocated once, detector chunks pre-bound).
@@ -62,8 +71,8 @@ func TestStepZeroAllocs(t *testing.T) {
 		// scratch free list and pre-bound chunks; it must stay at zero too.
 		{"generic-2d-notiling", testprob.Blast2D, 48, func(c *Config) { c.NoTiling = true }},
 		{"failsafe-2d", testprob.Blast2D, 48, func(c *Config) { c.FailSafe = true }},
-		{"failsafe-fused-2d", testprob.Blast2D, 48, func(c *Config) {
-			c.Fused = true
+		{"failsafe-taub-2d", testprob.Blast2D, 48, func(c *Config) {
+			c.EOS = eos.TaubMathews{}
 			c.FailSafe = true
 		}},
 	}
@@ -86,58 +95,19 @@ func TestStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFusedPCMHLLBitwise: the specialised first-order kernel (the
-// resilience fallback scheme) must be bitwise identical to the generic
-// PCM reconstruction + HLL flux path.
-func TestFusedPCMHLLBitwise(t *testing.T) {
-	run := func(fused bool) []float64 {
-		p := testprob.Blast2D
-		cfg := DefaultConfig()
-		cfg.Recon = recon.PCM{}
-		cfg.Riemann = riemann.HLL{}
-		cfg.Fused = fused
-		g := p.NewGrid(48, cfg.Recon.Ghost())
-		s, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Fused() != fused {
-			t.Fatalf("fused flag = %v, want %v", s.Fused(), fused)
-		}
-		if err := s.InitFromPrim(p.Init); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			if err := s.Step(s.MaxDt()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := make([]float64, len(g.U.Raw()))
-		copy(out, g.U.Raw())
-		return out
-	}
-	generic := run(false)
-	fused := run(true)
-	for i := range generic {
-		if generic[i] != fused[i] {
-			t.Fatalf("value %d differs: %v vs %v", i, generic[i], fused[i])
-		}
-	}
-}
-
 // TestMaxDtCachedMatchesTraversal: the in-sweep CFL reduction consumed
 // by the cached MaxDt combine must be bitwise identical to the explicit
-// full-grid traversal taken after an invalidation — on the generic and
-// on both fused paths, at every step of an evolving run.
+// full-grid traversal taken after an invalidation — with the Γ-law sound
+// speed inline and through the EOS interface, at every step of an
+// evolving run.
 func TestMaxDtCachedMatchesTraversal(t *testing.T) {
 	muts := map[string]func(*Config){
 		"generic": nil,
-		"fused":   func(c *Config) { c.Fused = true },
-		"fused-pcm-hll": func(c *Config) {
-			c.Fused = true
+		"pcm-hll": func(c *Config) {
 			c.Recon = recon.PCM{}
 			c.Riemann = riemann.HLL{}
 		},
+		"taub-mathews": func(c *Config) { c.EOS = eos.TaubMathews{} },
 	}
 	for name, mut := range muts {
 		t.Run(name, func(t *testing.T) {

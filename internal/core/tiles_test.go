@@ -5,6 +5,8 @@ import (
 
 	"rhsc/internal/grid"
 	"rhsc/internal/par"
+	"rhsc/internal/recon"
+	"rhsc/internal/riemann"
 	"rhsc/internal/state"
 )
 
@@ -121,17 +123,23 @@ func TestTileDecompositionCovers(t *testing.T) {
 
 // The tile engine must be bitwise identical to the legacy per-direction
 // strip traversal, for any worker count and any tile size (dividing or
-// not). This is the contract that lets tiling be the silent default.
+// not). This is the contract that lets tiling be the silent default. The
+// arms keep the names of the two flux paths the solver once had: both now
+// run the one face-state row, so "fused" covers PCM+HLL, the other
+// configuration that had a specialised kernel.
 func TestTiledBitwiseInvariance(t *testing.T) {
-	for _, fused := range []bool{false, true} {
-		name := "generic"
-		if fused {
-			name = "fused"
-		}
-		t.Run(name, func(t *testing.T) {
+	arms := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"generic", func(*Config) {}},
+		{"fused", func(c *Config) { c.Recon, c.Riemann = recon.PCM{}, riemann.HLL{} }},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
 			baseline := runTiled(t, func(c *Config) {
+				arm.mut(c)
 				c.NoTiling = true
-				c.Fused = fused
 			})
 			cases := []struct {
 				label   string
@@ -147,7 +155,7 @@ func TestTiledBitwiseInvariance(t *testing.T) {
 			}
 			for _, tc := range cases {
 				got := runTiled(t, func(c *Config) {
-					c.Fused = fused
+					arm.mut(c)
 					c.TileJ, c.TileK = tc.tj, tc.tk
 					if tc.workers > 0 {
 						c.Pool = par.NewPool(tc.workers)

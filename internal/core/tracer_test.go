@@ -108,45 +108,6 @@ func TestTracerTracksContact(t *testing.T) {
 	}
 }
 
-// Tracer evolution must also work through the fused kernel, bitwise equal
-// to the generic path.
-func TestTracerFusedIdentical(t *testing.T) {
-	run := func(fused bool) []float64 {
-		p := testprob.Blast2D
-		g := p.NewGrid(32, 2)
-		cfg := DefaultConfig()
-		cfg.Fused = fused
-		s, err := New(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.InitFromPrim(p.Init)
-		if err := s.EnableTracer(func(x, y, _ float64) float64 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if err := s.Step(s.MaxDt()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := make([]float64, len(s.trc.cons))
-		copy(out, s.trc.cons)
-		return out
-	}
-	a := run(false)
-	b := run(true)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("tracer differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 // RK integrators all advect the tracer consistently.
 func TestTracerIntegrators(t *testing.T) {
 	for _, integ := range []Integrator{RK1, RK2, RK3} {

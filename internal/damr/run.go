@@ -525,7 +525,7 @@ func (r *rankRun) exchangeHalos(stageZones bool) error {
 			copy(raw, data[off:off+len(raw)])
 			off += len(raw)
 		}
-		if avail := stamp + r.opts.Net.Cost(len(data) * 8); avail > r.clock {
+		if avail := stamp + r.opts.Net.Cost(len(data)*8); avail > r.clock {
 			r.clock = avail
 		}
 	}
@@ -766,7 +766,7 @@ func (r *rankRun) regridPhase() error {
 		if err != nil {
 			return err
 		}
-		if avail := stamp + opts.Net.Cost(len(payload) * 8); avail > r.clock {
+		if avail := stamp + opts.Net.Cost(len(payload)*8); avail > r.clock {
 			r.clock = avail
 		}
 		if _, err := t.DecodeLeaves(unpackBytes(payload)); err != nil {
@@ -1231,8 +1231,8 @@ func (r *rankRun) finalize(real time.Duration) (*Result, error) {
 		Regrids:     r.regrids, Rebalances: r.rebalances,
 		MigratedBlocks: int(fold(3, true)), MigratedBytes: int64(fold(4, true)),
 		RebalanceTime: r.rebalReal, RebalanceVirtual: fold(1, false),
-		Imbalance:   imb,
-		Checkpoints: r.checkpoints,
+		Imbalance:         imb,
+		Checkpoints:       r.checkpoints,
 		CheckpointBytes:   int64(fold(5, true)),
 		CheckpointVirtual: fold(6, false),
 		Recoveries:        r.recoveries,

@@ -98,10 +98,10 @@ type Executor struct {
 	virtual   float64 // accumulated virtual makespan
 	phase     int64
 	events    []TraceEvent
-	faulted   []bool  // device permanently excluded after an injected fault
-	planned   []int64 // planned kernels per device (fault-trigger accounting)
-	backoff   float64 // accumulated virtual retry-backoff seconds
-	pending   float64 // backoff charged to the current phase's makespan
+	faulted   []bool                    // device permanently excluded after an injected fault
+	planned   []int64                   // planned kernels per device (fault-trigger accounting)
+	backoff   float64                   // accumulated virtual retry-backoff seconds
+	pending   float64                   // backoff charged to the current phase's makespan
 	lastOwner map[state.Direction][]int // previous phase's strip owners (affinity)
 }
 

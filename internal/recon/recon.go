@@ -19,7 +19,6 @@ package recon
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"rhsc/internal/mathutil"
 )
@@ -186,12 +185,6 @@ func mcSlope(dm, dp float64) float64 {
 	return 0
 }
 
-// ppmScratch pools the PPM interface-value buffer across rows.
-var ppmScratch = sync.Pool{New: func() any {
-	s := make([]float64, 0, 1024)
-	return &s
-}}
-
 // PPM is the piecewise-parabolic method of Colella & Woodward (1984) with
 // the standard monotonization (no contact steepening or flattening: those
 // are shock-tube cosmetics the HLLC solver does not need).
@@ -221,44 +214,36 @@ func (PPM) Reconstruct(u, uL, uR []float64) {
 	}
 
 	// Fourth-order interface values (CW84 eq. 1.6):
-	// u_{j+1/2} = (u_j + u_{j+1})/2 − (δ_{j+1} − δ_j)/6.
-	// iface[i] is the value at face i (between cells i−1 and i). The
-	// buffer is pooled: Reconstruct runs once per row per component and a
-	// per-call allocation would dominate the sweep's allocation profile.
-	buf := ppmScratch.Get().(*[]float64)
-	if cap(*buf) < n+1 {
-		*buf = make([]float64, n+1)
-	}
-	iface := (*buf)[:n+1]
-	defer ppmScratch.Put(buf)
-	for i := 2; i <= n-2; i++ {
+	// u_{j+1/2} = (u_j + u_{j+1})/2 − (δ_{j+1} − δ_j)/6,
+	// the value at face i (between cells i−1 and i) being iface(i).
+	iface := func(i int) float64 {
 		j := i - 1
-		iface[i] = 0.5*(u[j]+u[j+1]) - (slope(j+1)-slope(j))/6
+		return 0.5*(u[j]+u[j+1]) - (slope(j+1)-slope(j))/6
 	}
 
 	// Per-cell parabola edges with monotonization (CW84 eq. 1.10). Face i
 	// takes its left state from the parabola of cell i−1 and its right
-	// state from the parabola of cell i; the needed interface values
-	// iface[2..n−2] are all available for faces i in [3, n−3].
-	for i := 3; i <= n-3; i++ {
-		// Face i: left side from cell j = i−1, right side from cell i.
-		for side := 0; side < 2; side++ {
-			j := i - 1 + side
-			aL, aR := iface[j], iface[j+1] // edges of cell j
-			u0 := u[j]
-			switch {
-			case (aR-u0)*(u0-aL) <= 0:
-				aL, aR = u0, u0
-			case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
-				aL = 3*u0 - 2*aR
-			case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
-				aR = 3*u0 - 2*aL
-			}
-			if side == 0 {
-				uL[i] = aR
-			} else {
-				uR[i] = aL
-			}
+	// state from the parabola of cell i, for faces i in [3, n−3]: cell j
+	// in [2, n−3] is built once from its edges iface(j), iface(j+1) and
+	// feeds the right state of face j and the left state of face j+1.
+	aRight := iface(2)
+	for j := 2; j <= n-3; j++ {
+		aL, aR := aRight, iface(j+1) // edges of cell j
+		aRight = aR
+		u0 := u[j]
+		switch {
+		case (aR-u0)*(u0-aL) <= 0:
+			aL, aR = u0, u0
+		case (aR-aL)*(u0-0.5*(aL+aR)) > (aR-aL)*(aR-aL)/6:
+			aL = 3*u0 - 2*aR
+		case (aR-aL)*(u0-0.5*(aL+aR)) < -(aR-aL)*(aR-aL)/6:
+			aR = 3*u0 - 2*aL
+		}
+		if j >= 3 {
+			uR[j] = aL
+		}
+		if j+1 <= n-3 {
+			uL[j+1] = aR
 		}
 	}
 }

@@ -4,45 +4,42 @@
 // (2005, MNRAS 364, 126), which restores the contact wave HLL averages
 // away.
 //
-// Every solver consumes the reconstructed primitive states on the two
-// sides of a face and returns the flux of the conserved variables through
-// it. All solvers reduce to the exact flux when the two states agree
-// (consistency), and upwind fully for supersonic flow.
+// Every solver consumes the derived face states (state.Face) on the two
+// sides of each face of a row and writes the flux of the conserved
+// variables through it. All solvers reduce to the exact flux when the
+// two states agree (consistency), and upwind fully for supersonic flow.
 package riemann
 
 import (
 	"fmt"
 	"math"
 
-	"rhsc/internal/eos"
 	"rhsc/internal/state"
 )
 
-// Solver computes the numerical flux through a face from the reconstructed
-// primitive states on its two sides. Implementations must be stateless or
-// otherwise safe for concurrent use.
+// Solver computes numerical fluxes from the face states on the two sides
+// of a row of faces. Implementations must be stateless or otherwise safe
+// for concurrent use.
+//
+// The interface is per row, not per face: a per-face interface call
+// taking pointers to loop-local face states makes the compiler move both
+// to the heap, one allocation each per face. The row call dispatches once
+// and runs the concrete per-face Flux in a direct loop.
 type Solver interface {
 	// Name identifies the solver in output and benchmarks.
 	Name() string
-	// Flux returns the numerical flux along direction d given left and
-	// right primitive states.
-	Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons
+	// Fluxes writes the flux along d through face i, between the face
+	// states L[i] and R[i], into fx[c][i] for every i < len(L).
+	Fluxes(L, R []state.Face, d state.Direction, fx [state.NComp][]float64)
 }
 
-// consSub returns a − b componentwise.
-func consSub(a, b state.Cons) state.Cons {
-	return state.Cons{
-		D: a.D - b.D, Sx: a.Sx - b.Sx, Sy: a.Sy - b.Sy, Sz: a.Sz - b.Sz,
-		Tau: a.Tau - b.Tau,
-	}
-}
-
-// consAXPY returns a + s·b componentwise.
-func consAXPY(a state.Cons, s float64, b state.Cons) state.Cons {
-	return state.Cons{
-		D: a.D + s*b.D, Sx: a.Sx + s*b.Sx, Sy: a.Sy + s*b.Sy,
-		Sz: a.Sz + s*b.Sz, Tau: a.Tau + s*b.Tau,
-	}
+// store writes the flux f into column i of fx.
+func store(fx *[state.NComp][]float64, i int, f state.Cons) {
+	fx[state.ID][i] = f.D
+	fx[state.ISx][i] = f.Sx
+	fx[state.ISy][i] = f.Sy
+	fx[state.ISz][i] = f.Sz
+	fx[state.ITau][i] = f.Tau
 }
 
 // LLF is the local Lax–Friedrichs (Rusanov) solver: maximally dissipative
@@ -53,62 +50,62 @@ type LLF struct{}
 // Name implements Solver.
 func (LLF) Name() string { return "llf" }
 
-// Flux implements Solver.
-func (LLF) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
-	al := state.MaxAbsSpeed(e, pl, d)
-	ar := state.MaxAbsSpeed(e, pr, d)
-	alpha := math.Max(al, ar)
-	du := consSub(ur, ul)
-	return state.Cons{
-		D:   0.5 * (fl.D + fr.D - alpha*du.D),
-		Sx:  0.5 * (fl.Sx + fr.Sx - alpha*du.Sx),
-		Sy:  0.5 * (fl.Sy + fr.Sy - alpha*du.Sy),
-		Sz:  0.5 * (fl.Sz + fr.Sz - alpha*du.Sz),
-		Tau: 0.5 * (fl.Tau + fr.Tau - alpha*du.Tau),
+// Fluxes implements Solver.
+func (s LLF) Fluxes(L, R []state.Face, d state.Direction, fx [state.NComp][]float64) {
+	R = R[:len(L)]
+	for i := range L {
+		store(&fx, i, s.Flux(&L[i], &R[i]))
 	}
 }
 
-// outerSpeeds returns the Davis estimates S_L = min(λ−(L), λ−(R)) and
-// S_R = max(λ+(L), λ+(R)) used by HLL and HLLC.
-func outerSpeeds(e eos.EOS, pl, pr state.Prim, d state.Direction) (sl, sr float64) {
-	lmL, lpL := state.WaveSpeeds(e, pl, d)
-	lmR, lpR := state.WaveSpeeds(e, pr, d)
-	return math.Min(lmL, lmR), math.Max(lpL, lpR)
+// Flux returns the LLF flux between the face states l and r.
+func (LLF) Flux(l, r *state.Face) state.Cons {
+	alpha := math.Max(math.Max(math.Abs(l.Lm), math.Abs(l.Lp)),
+		math.Max(math.Abs(r.Lm), math.Abs(r.Lp)))
+	return state.Cons{
+		D:   0.5 * (l.F.D + r.F.D - alpha*(r.U.D-l.U.D)),
+		Sx:  0.5 * (l.F.Sx + r.F.Sx - alpha*(r.U.Sx-l.U.Sx)),
+		Sy:  0.5 * (l.F.Sy + r.F.Sy - alpha*(r.U.Sy-l.U.Sy)),
+		Sz:  0.5 * (l.F.Sz + r.F.Sz - alpha*(r.U.Sz-l.U.Sz)),
+		Tau: 0.5 * (l.F.Tau + r.F.Tau - alpha*(r.U.Tau-l.U.Tau)),
+	}
 }
 
-// HLL is the two-wave Harten–Lax–van Leer solver.
+// HLL is the two-wave Harten–Lax–van Leer solver with the Davis outer
+// speed estimates S_L = min(λ−(L), λ−(R)), S_R = max(λ+(L), λ+(R)).
 type HLL struct{}
 
 // Name implements Solver.
 func (HLL) Name() string { return "hll" }
 
-// Flux implements Solver.
-func (HLL) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	sl, sr := outerSpeeds(e, pl, pr, d)
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
+// Fluxes implements Solver.
+func (s HLL) Fluxes(L, R []state.Face, d state.Direction, fx [state.NComp][]float64) {
+	R = R[:len(L)]
+	for i := range L {
+		store(&fx, i, s.Flux(&L[i], &R[i]))
+	}
+}
+
+// Flux returns the HLL flux between the face states l and r.
+func (HLL) Flux(l, r *state.Face) state.Cons {
+	sl := math.Min(l.Lm, r.Lm)
+	sr := math.Max(l.Lp, r.Lp)
 	switch {
 	case sl >= 0:
-		return state.Flux(pl, ul, d)
+		return l.F
 	case sr <= 0:
-		return state.Flux(pr, ur, d)
+		return r.F
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
 	inv := 1 / (sr - sl)
 	hll := func(flc, frc, ulc, urc float64) float64 {
 		return (sr*flc - sl*frc + sl*sr*(urc-ulc)) * inv
 	}
 	return state.Cons{
-		D:   hll(fl.D, fr.D, ul.D, ur.D),
-		Sx:  hll(fl.Sx, fr.Sx, ul.Sx, ur.Sx),
-		Sy:  hll(fl.Sy, fr.Sy, ul.Sy, ur.Sy),
-		Sz:  hll(fl.Sz, fr.Sz, ul.Sz, ur.Sz),
-		Tau: hll(fl.Tau, fr.Tau, ul.Tau, ur.Tau),
+		D:   hll(l.F.D, r.F.D, l.U.D, r.U.D),
+		Sx:  hll(l.F.Sx, r.F.Sx, l.U.Sx, r.U.Sx),
+		Sy:  hll(l.F.Sy, r.F.Sy, l.U.Sy, r.U.Sy),
+		Sz:  hll(l.F.Sz, r.F.Sz, l.U.Sz, r.U.Sz),
+		Tau: hll(l.F.Tau, r.F.Tau, l.U.Tau, r.U.Tau),
 	}
 }
 
@@ -120,19 +117,24 @@ type HLLC struct{}
 // Name implements Solver.
 func (HLLC) Name() string { return "hllc" }
 
-// Flux implements Solver.
-func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
-	sl, sr := outerSpeeds(e, pl, pr, d)
-	ul := pl.ToCons(e)
-	ur := pr.ToCons(e)
+// Fluxes implements Solver.
+func (s HLLC) Fluxes(L, R []state.Face, d state.Direction, fx [state.NComp][]float64) {
+	R = R[:len(L)]
+	for i := range L {
+		store(&fx, i, s.Flux(&L[i], &R[i], d))
+	}
+}
+
+// Flux returns the HLLC flux along d between the face states l and r.
+func (HLLC) Flux(l, r *state.Face, d state.Direction) state.Cons {
+	sl := math.Min(l.Lm, r.Lm)
+	sr := math.Max(l.Lp, r.Lp)
 	switch {
 	case sl >= 0:
-		return state.Flux(pl, ul, d)
+		return l.F
 	case sr <= 0:
-		return state.Flux(pr, ur, d)
+		return r.F
 	}
-	fl := state.Flux(pl, ul, d)
-	fr := state.Flux(pr, ur, d)
 
 	// HLL state and flux of the total energy E = τ + D and the normal
 	// momentum m = S_d. F(E) = F(τ) + F(D) = S_d.
@@ -143,21 +145,12 @@ func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	hllF := func(flc, frc, ulc, urc float64) float64 {
 		return (sr*flc - sl*frc + sl*sr*(urc-ulc)) * inv
 	}
-	eL := ul.Tau + ul.D
-	eR := ur.Tau + ur.D
-	mL := ul.S(d)
-	mR := ur.S(d)
-	feL := fl.Tau + fl.D // = S_d(L)
-	feR := fr.Tau + fr.D
-	var fmL, fmR float64
-	switch d {
-	case state.X:
-		fmL, fmR = fl.Sx, fr.Sx
-	case state.Y:
-		fmL, fmR = fl.Sy, fr.Sy
-	default:
-		fmL, fmR = fl.Sz, fr.Sz
-	}
+	eL := l.U.Tau + l.U.D
+	eR := r.U.Tau + r.U.D
+	mL, mR := l.U.S(d), r.U.S(d)
+	fmL, fmR := l.F.S(d), r.F.S(d)
+	feL := l.F.Tau + l.F.D
+	feR := r.F.Tau + r.F.D
 	eH := hllU(eL, eR, feL, feR)
 	mH := hllU(mL, mR, fmL, fmR)
 	feH := hllF(feL, feR, eL, eR)
@@ -191,42 +184,39 @@ func (HLLC) Flux(e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
 	// Star-region pressure (M&B eq. 17).
 	pstar := -feH*lstar + fmH
 
-	// Jump conditions across the outer wave on the side containing the
-	// face (λ* >= 0 → left star state).
+	// Jump conditions across the outer wave S_K on the side K containing
+	// the face (λ* >= 0 → left star state); the flux is
+	// F_K + S_K (U*_K − U_K).
+	k, sk := r, sr
 	if lstar >= 0 {
-		return starFlux(pl, ul, fl, sl, lstar, pstar, d)
+		k, sk = l, sl
 	}
-	return starFlux(pr, ur, fr, sr, lstar, pstar, d)
-}
-
-// starFlux builds the star state on side K from the Rankine–Hugoniot jump
-// across the outer wave S_K and returns F_K + S_K (U*_K − U_K).
-func starFlux(p state.Prim, u state.Cons, f state.Cons, sk, lstar, pstar float64, d state.Direction) state.Cons {
-	vk := p.V(d)
-	ek := u.Tau + u.D
-	inv := 1 / (sk - lstar)
-	dstar := u.D * (sk - vk) * inv
-	estar := (ek*(sk-vk) + pstar*lstar - p.P*vk) * inv
+	vk := k.V
+	ek := k.U.Tau + k.U.D
+	invK := 1 / (sk - lstar)
+	dstar := k.U.D * (sk - vk) * invK
+	estar := (ek*(sk-vk) + pstar*lstar - k.P*vk) * invK
 	// Normal momentum: m* = (m(S_K − v) + p* − p)/(S_K − λ*).
 	// Transverse momenta advect: S_t* = S_t (S_K − v)/(S_K − λ*).
-	adv := (sk - vk) * inv
-	var sxs, sys, szs float64
+	adv := (sk - vk) * invK
+	sxs, sys, szs := k.U.Sx*adv, k.U.Sy*adv, k.U.Sz*adv
+	mstar := (k.U.S(d)*(sk-vk) + pstar - k.P) * invK
 	switch d {
 	case state.X:
-		sxs = (u.Sx*(sk-vk) + pstar - p.P) * inv
-		sys = u.Sy * adv
-		szs = u.Sz * adv
+		sxs = mstar
 	case state.Y:
-		sys = (u.Sy*(sk-vk) + pstar - p.P) * inv
-		sxs = u.Sx * adv
-		szs = u.Sz * adv
+		sys = mstar
 	default:
-		szs = (u.Sz*(sk-vk) + pstar - p.P) * inv
-		sxs = u.Sx * adv
-		sys = u.Sy * adv
+		szs = mstar
 	}
-	ustar := state.Cons{D: dstar, Sx: sxs, Sy: sys, Sz: szs, Tau: estar - dstar}
-	return consAXPY(f, sk, consSub(ustar, u))
+	taustar := estar - dstar
+	return state.Cons{
+		D:   k.F.D + sk*(dstar-k.U.D),
+		Sx:  k.F.Sx + sk*(sxs-k.U.Sx),
+		Sy:  k.F.Sy + sk*(sys-k.U.Sy),
+		Sz:  k.F.Sz + sk*(szs-k.U.Sz),
+		Tau: k.F.Tau + sk*(taustar-k.U.Tau),
+	}
 }
 
 // ByName returns the solver registered under name: "llf", "hll", "hllc".

@@ -12,6 +12,22 @@ import (
 
 var gamma53 = eos.NewIdealGas(5.0 / 3.0)
 
+// flux evaluates s on the single face between the primitive states pl and
+// pr under e through the row interface.
+func flux(s Solver, e eos.EOS, pl, pr state.Prim, d state.Direction) state.Cons {
+	row := func(p state.Prim) *[state.NComp][]float64 {
+		return &[state.NComp][]float64{{p.Rho}, {p.Vx}, {p.Vy}, {p.Vz}, {p.P}}
+	}
+	L, R := make([]state.Face, 1), make([]state.Face, 1)
+	th := state.NewThermo(e)
+	th.Faces(L, row(pl), row(pl), 0, 0, d)
+	th.Faces(R, row(pr), row(pr), 0, 0, d)
+	var out [state.NComp][1]float64
+	s.Fluxes(L, R, d, [state.NComp][]float64{out[0][:], out[1][:], out[2][:], out[3][:], out[4][:]})
+	return state.Cons{D: out[state.ID][0], Sx: out[state.ISx][0], Sy: out[state.ISy][0],
+		Sz: out[state.ISz][0], Tau: out[state.ITau][0]}
+}
+
 func randomPrim(rng *rand.Rand) state.Prim {
 	v := 0.99 * rng.Float64()
 	th := rng.Float64() * math.Pi
@@ -43,7 +59,7 @@ func TestConsistency(t *testing.T) {
 			c := p.ToCons(gamma53)
 			for _, d := range []state.Direction{state.X, state.Y, state.Z} {
 				want := state.Flux(p, c, d)
-				got := s.Flux(gamma53, p, p, d)
+				got := flux(s, gamma53, p, p, d)
 				if !consClose(got, want, 1e-10) {
 					t.Fatalf("%s dir %v: F(u,u) = %+v, want %+v (p=%+v)",
 						s.Name(), d, got, want, p)
@@ -61,7 +77,7 @@ func TestSupersonicUpwinding(t *testing.T) {
 	pr := state.Prim{Rho: 2, Vx: 0.99, P: 2e-3}
 	fl := state.Flux(pl, pl.ToCons(gamma53), state.X)
 	for _, s := range []Solver{HLL{}, HLLC{}} {
-		got := s.Flux(gamma53, pl, pr, state.X)
+		got := flux(s, gamma53, pl, pr, state.X)
 		if !consClose(got, fl, 1e-12) {
 			t.Errorf("%s: supersonic flux %+v, want left flux %+v", s.Name(), got, fl)
 		}
@@ -71,7 +87,7 @@ func TestSupersonicUpwinding(t *testing.T) {
 	prm := state.Prim{Rho: 2, Vx: -0.99, P: 2e-3}
 	fr := state.Flux(prm, prm.ToCons(gamma53), state.X)
 	for _, s := range []Solver{HLL{}, HLLC{}} {
-		got := s.Flux(gamma53, plm, prm, state.X)
+		got := flux(s, gamma53, plm, prm, state.X)
 		if !consClose(got, fr, 1e-12) {
 			t.Errorf("%s: supersonic flux %+v, want right flux %+v", s.Name(), got, fr)
 		}
@@ -87,11 +103,11 @@ func TestMirrorSymmetry(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			pl := randomPrim(rng)
 			pr := randomPrim(rng)
-			f := s.Flux(gamma53, pl, pr, state.X)
+			f := flux(s, gamma53, pl, pr, state.X)
 			// Reflected problem.
 			rl := state.Prim{Rho: pr.Rho, Vx: -pr.Vx, Vy: pr.Vy, Vz: pr.Vz, P: pr.P}
 			rr := state.Prim{Rho: pl.Rho, Vx: -pl.Vx, Vy: pl.Vy, Vz: pl.Vz, P: pl.P}
-			g := s.Flux(gamma53, rl, rr, state.X)
+			g := flux(s, gamma53, rl, rr, state.X)
 			if math.Abs(g.D+f.D) > 1e-9*(1+math.Abs(f.D)) {
 				t.Fatalf("%s: D flux not antisymmetric: %v vs %v", s.Name(), g.D, f.D)
 			}
@@ -111,7 +127,7 @@ func TestMirrorSymmetry(t *testing.T) {
 func TestHLLCResolvesStaticContact(t *testing.T) {
 	pl := state.Prim{Rho: 1.0, P: 0.5}
 	pr := state.Prim{Rho: 10.0, P: 0.5}
-	f := (HLLC{}).Flux(gamma53, pl, pr, state.X)
+	f := flux(HLLC{}, gamma53, pl, pr, state.X)
 	if math.Abs(f.D) > 1e-12 || math.Abs(f.Tau) > 1e-12 {
 		t.Errorf("HLLC static contact flux nonzero: D=%v tau=%v", f.D, f.Tau)
 	}
@@ -119,7 +135,7 @@ func TestHLLCResolvesStaticContact(t *testing.T) {
 		t.Errorf("HLLC static contact momentum flux %v, want p=0.5", f.Sx)
 	}
 	// HLL, by contrast, diffuses the contact: nonzero D flux.
-	g := (HLL{}).Flux(gamma53, pl, pr, state.X)
+	g := flux(HLL{}, gamma53, pl, pr, state.X)
 	if math.Abs(g.D) < 1e-6 {
 		t.Errorf("HLL unexpectedly resolves the contact exactly: D flux %v", g.D)
 	}
@@ -136,7 +152,7 @@ func TestHLLCResolvesMovingContact(t *testing.T) {
 			up = pr
 		}
 		want := state.Flux(up, up.ToCons(gamma53), state.X)
-		got := (HLLC{}).Flux(gamma53, pl, pr, state.X)
+		got := flux(HLLC{}, gamma53, pl, pr, state.X)
 		if !consClose(got, want, 1e-9) {
 			t.Errorf("vx=%v: HLLC contact flux %+v, want %+v", vx, got, want)
 		}
@@ -149,7 +165,7 @@ func TestHLLCResolvesMovingContact(t *testing.T) {
 func TestHLLCShearAtRest(t *testing.T) {
 	pl := state.Prim{Rho: 1, Vy: 0.5, P: 1}
 	pr := state.Prim{Rho: 1, Vy: -0.5, P: 1}
-	f := (HLLC{}).Flux(gamma53, pl, pr, state.X)
+	f := flux(HLLC{}, gamma53, pl, pr, state.X)
 	if math.Abs(f.Sy) > 1e-12 {
 		t.Errorf("HLLC shear flux Sy = %v, want 0", f.Sy)
 	}
@@ -166,7 +182,7 @@ func TestDissipationOrdering(t *testing.T) {
 	pr := state.Prim{Rho: 1, P: 1e-1}
 	// All three should produce finite, causal fluxes.
 	for _, s := range All() {
-		f := s.Flux(gamma53, pl, pr, state.X)
+		f := flux(s, gamma53, pl, pr, state.X)
 		for _, v := range []float64{f.D, f.Sx, f.Sy, f.Sz, f.Tau} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("%s: non-finite flux %+v", s.Name(), f)
@@ -174,8 +190,8 @@ func TestDissipationOrdering(t *testing.T) {
 		}
 	}
 	// For symmetric (rest-frame) states HLL degenerates to LLF exactly.
-	fllf := (LLF{}).Flux(gamma53, pl, pr, state.X)
-	fhll := (HLL{}).Flux(gamma53, pl, pr, state.X)
+	fllf := flux(LLF{}, gamma53, pl, pr, state.X)
+	fhll := flux(HLL{}, gamma53, pl, pr, state.X)
 	if math.Abs(fllf.D-fhll.D) > 1e-12 {
 		t.Errorf("rest-frame HLL %v != LLF %v", fhll.D, fllf.D)
 	}
@@ -184,8 +200,8 @@ func TestDissipationOrdering(t *testing.T) {
 	plm := state.Prim{Rho: 10, Vx: 0.3, P: 13.3}
 	prm := state.Prim{Rho: 1, Vx: 0.3, P: 1e-1}
 	fUp := state.Flux(plm, plm.ToCons(gamma53), state.X)
-	dLLF := math.Abs((LLF{}).Flux(gamma53, plm, prm, state.X).D - fUp.D)
-	dHLL := math.Abs((HLL{}).Flux(gamma53, plm, prm, state.X).D - fUp.D)
+	dLLF := math.Abs(flux(LLF{}, gamma53, plm, prm, state.X).D - fUp.D)
+	dHLL := math.Abs(flux(HLL{}, gamma53, plm, prm, state.X).D - fUp.D)
 	if dHLL >= dLLF {
 		t.Errorf("HLL (%v) not closer to upwind flux than LLF (%v)", dHLL, dLLF)
 	}
@@ -200,7 +216,7 @@ func TestHLLCContinuityAcrossSonicPoint(t *testing.T) {
 	for v := -0.9; v <= 0.9; v += 0.002 {
 		pl := state.Prim{Rho: 1, Vx: v, P: 1}
 		pr := state.Prim{Rho: 1.1, Vx: v, P: 1.05}
-		f := (HLLC{}).Flux(gamma53, pl, pr, state.X)
+		f := flux(HLLC{}, gamma53, pl, pr, state.X)
 		if !math.IsNaN(prev) {
 			// dF/dv ~ rho W^3 reaches ~13 near |v|=0.9, so a smooth flux
 			// changes by up to ~0.03 per dv=0.002 step; a branch-switch bug
@@ -219,7 +235,7 @@ func TestHLLCContinuityAcrossSonicPoint(t *testing.T) {
 func TestHLLCDegenerateQuadratic(t *testing.T) {
 	pl := state.Prim{Rho: 1, Vx: 1e-14, P: 1e-12}
 	pr := state.Prim{Rho: 1, Vx: -1e-14, P: 1e-12}
-	f := (HLLC{}).Flux(gamma53, pl, pr, state.X)
+	f := flux(HLLC{}, gamma53, pl, pr, state.X)
 	for _, v := range []float64{f.D, f.Sx, f.Tau} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("degenerate HLLC flux %+v", f)
@@ -244,7 +260,7 @@ func TestQuickConsistency(t *testing.T) {
 		for _, s := range All() {
 			for _, d := range []state.Direction{state.X, state.Y, state.Z} {
 				want := state.Flux(w, c, d)
-				got := s.Flux(gamma53, w, w, d)
+				got := flux(s, gamma53, w, w, d)
 				if !consClose(got, want, 1e-9) {
 					return false
 				}
@@ -275,7 +291,7 @@ func TestExtremePressureRatio(t *testing.T) {
 	pl := state.Prim{Rho: 1, P: 1000}
 	pr := state.Prim{Rho: 1, P: 1e-2}
 	for _, s := range All() {
-		f := s.Flux(gamma53, pl, pr, state.X)
+		f := flux(s, gamma53, pl, pr, state.X)
 		if math.IsNaN(f.D) || math.IsNaN(f.Sx) || math.IsNaN(f.Tau) {
 			t.Errorf("%s: NaN flux on blast states", s.Name())
 		}
@@ -287,7 +303,7 @@ func TestExtremePressureRatio(t *testing.T) {
 func TestTransverseFlowZeroNormalFlux(t *testing.T) {
 	p := state.Prim{Rho: 1, Vy: 0.9, P: 1}
 	for _, s := range All() {
-		f := s.Flux(gamma53, p, p, state.X)
+		f := flux(s, gamma53, p, p, state.X)
 		if math.Abs(f.D) > 1e-14 {
 			t.Errorf("%s: normal D flux %v for transverse flow", s.Name(), f.D)
 		}

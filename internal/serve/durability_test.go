@@ -117,6 +117,51 @@ func TestLoadSpoolLegacyPairs(t *testing.T) {
 	}
 }
 
+// TestLoadSpoolIDsNotReused: a job submitted after a restart must not
+// take the id of a spooled job — new ids start past the largest numeric
+// id loaded, and the spooled jobs stay queryable under their own ids.
+func TestLoadSpoolIDsNotReused(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"j000003", "j000005"} {
+		meta := `{"id":"` + id + `","spec":{"problem":"sod","n":64,"max_steps":8,"tenant":"spooled"},"has_snapshot":false}`
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	if n, err := s.LoadSpool(dir); n != 2 || err != nil {
+		t.Fatalf("loaded %d spooled jobs (%v), want 2", n, err)
+	}
+	ids := map[string]bool{"j000003": true, "j000005": true}
+	for i := 0; i < 2; i++ {
+		spec := quickSpec()
+		spec.Tenant = "fresh"
+		st, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[st.ID] {
+			t.Fatalf("submitted job reused id %s", st.ID)
+		}
+		ids[st.ID] = true
+	}
+	if len(ids) != 4 {
+		t.Fatalf("ids %v, want 4 distinct", ids)
+	}
+	for _, id := range []string{"j000003", "j000005"} {
+		st, ok := s.Get(id)
+		if !ok || st.Tenant != "spooled" {
+			t.Fatalf("spooled job %s: found=%v tenant=%q", id, ok, st.Tenant)
+		}
+	}
+	for id := range ids {
+		if final, _ := s.Wait(id); final.State != Done {
+			t.Fatalf("job %s ended %q (%s)", id, final.State, final.Reason)
+		}
+	}
+}
+
 // TestDrainCrashMatrix crashes the spool filesystem at every mutating
 // write point of a two-job drain, then boots a clean server on the
 // directory: whatever survived must be fully valid — every loaded job

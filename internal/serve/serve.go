@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -225,10 +226,9 @@ func (s *Server) Submit(spec JobSpec) (Status, error) {
 	now := time.Now()
 
 	s.mu.Lock()
-	s.ids++
 	s.seq++
 	j := &job{
-		id:        fmt.Sprintf("j%06d", s.ids),
+		id:        s.nextIDLocked(),
 		spec:      spec,
 		seq:       s.seq,
 		cost:      cost,
@@ -497,7 +497,7 @@ func (s *Server) runJob(j *job) {
 		if s.cfg.JobTimeout > 0 && ranBase+time.Since(segStart) > s.cfg.JobTimeout {
 			s.C.TimedOut.Add(1)
 			s.fail(j, fmt.Sprintf("%v (ran %v of allowed %v)",
-				ErrJobTimeout, (ranBase + time.Since(segStart)).Round(time.Millisecond), s.cfg.JobTimeout))
+				ErrJobTimeout, (ranBase+time.Since(segStart)).Round(time.Millisecond), s.cfg.JobTimeout))
 			return
 		}
 		if j.preempt.Load() {
@@ -858,6 +858,17 @@ func (s *Server) loadLegacySpool(st *durable.Store, dir string) (int, error) {
 	return loaded, errors.Join(errs...)
 }
 
+// nextIDLocked issues a fresh job id, skipping any id already taken.
+func (s *Server) nextIDLocked() string {
+	for {
+		s.ids++
+		id := fmt.Sprintf("j%06d", s.ids)
+		if _, taken := s.jobs[id]; !taken {
+			return id
+		}
+	}
+}
+
 // readmit enqueues one spooled job, bypassing admission (its quota was
 // granted in the previous life; budgets restart with the process).
 func (s *Server) readmit(meta spoolMeta, snap []byte) error {
@@ -874,11 +885,15 @@ func (s *Server) readmit(meta spoolMeta, snap []byte) error {
 	if s.stopping {
 		return fmt.Errorf("serve: spooled job %s: server draining", meta.ID)
 	}
-	s.ids++
 	s.seq++
 	id := meta.ID
 	if _, taken := s.jobs[id]; taken || id == "" {
-		id = fmt.Sprintf("j%06d", s.ids)
+		id = s.nextIDLocked()
+	} else if n, err := strconv.ParseUint(strings.TrimPrefix(id, "j"), 10, 64); err == nil && n > s.ids {
+		// Fresh ids start past every numeric id a previous life issued,
+		// so a job submitted after the restart never takes a spooled
+		// job's id.
+		s.ids = n
 	}
 	j := &job{
 		id: id, spec: meta.Spec, seq: s.seq, cost: cost,

@@ -110,9 +110,10 @@ func (p Prim) V(d Direction) float64 {
 
 // IsPhysical reports whether the primitive state is admissible: positive
 // density and pressure and subluminal velocity.
-func (p Prim) IsPhysical() bool {
-	return p.Rho > 0 && p.P > 0 && p.VSq() < 1 &&
-		!math.IsNaN(p.Rho) && !math.IsNaN(p.P)
+func (p Prim) IsPhysical() bool { return physical(p.Rho, p.Vx, p.Vy, p.Vz, p.P) }
+
+func physical(rho, vx, vy, vz, p float64) bool {
+	return rho > 0 && p > 0 && vx*vx+vy*vy+vz*vz < 1 && !math.IsNaN(rho) && !math.IsNaN(p)
 }
 
 // ToCons converts the primitive state to conserved variables under the
@@ -183,17 +184,7 @@ func Flux(p Prim, c Cons, d Direction) Cons {
 // Both are guaranteed to lie in (−1, 1) for admissible states.
 func WaveSpeeds(e eos.EOS, p Prim, d Direction) (lm, lp float64) {
 	cs2 := e.SoundSpeed2(p.Rho, p.P)
-	v2 := p.VSq()
-	vd := p.V(d)
-	den := 1 - v2*cs2
-	disc := (1 - v2) * (1 - v2*cs2 - vd*vd*(1-cs2))
-	if disc < 0 {
-		disc = 0
-	}
-	root := math.Sqrt(disc) * math.Sqrt(cs2)
-	lm = (vd*(1-cs2) - root) / den
-	lp = (vd*(1-cs2) + root) / den
-	return lm, lp
+	return CharSpeeds(p.V(d), p.VSq(), cs2, math.Sqrt(cs2))
 }
 
 // MaxAbsSpeed returns max(|λ−|, |λ+|) along direction d — the CFL speed.
